@@ -24,7 +24,6 @@ use icn_bench::{self as bench, par_build};
 use icn_core::config::ExperimentConfig;
 use icn_core::design::DesignKind;
 use icn_core::instrument::SimObs;
-use icn_core::shard::{self, ShardOpts};
 use icn_core::sweep::Scenario;
 use icn_obs::{peak_rss_kb, Profiler, Registry};
 use icn_topology::pop;
@@ -36,16 +35,6 @@ struct DesignRow {
     name: &'static str,
     requests: u64,
     seconds: f64,
-}
-
-struct ShardRow {
-    design: &'static str,
-    shards: usize,
-    workers: usize,
-    requests: u64,
-    seconds: f64,
-    epochs: u64,
-    reconcile_ns: u64,
 }
 
 fn main() {
@@ -119,61 +108,6 @@ fn main() {
         });
     }
 
-    // Intra-cell shard sweep (DESIGN.md §13): the epoch-sharded engine at
-    // 1, 2, and 4 workers over every scenario, one nearest-replica and
-    // one edge design. Same bytes at every shard count (check.sh
-    // byte-compares); these rows measure the wall-clock scaling and the
-    // sequential reconcile overhead per epoch.
-    let mut shard_rows = Vec::new();
-    for design in [DesignKind::IcnNr, DesignKind::Edge] {
-        let cfg = ExperimentConfig::baseline(design);
-        for shards in [1usize, 2, 4] {
-            let t0 = Instant::now();
-            let mut served = 0u64;
-            let mut epochs = 0u64;
-            let mut reconcile_ns = 0u64;
-            let mut workers = 0usize;
-            for s in &scenarios {
-                if !shard::supported(&s.net, &cfg) {
-                    continue;
-                }
-                let run = shard::run_sharded(
-                    &s.net,
-                    &cfg,
-                    &s.origins,
-                    &s.trace.object_sizes,
-                    s.trace.requests.iter().copied(),
-                    &ShardOpts {
-                        shards,
-                        ..Default::default()
-                    },
-                );
-                served += run.metrics.requests;
-                epochs += run.epochs;
-                reconcile_ns += run.reconcile_ns;
-                workers = workers.max(run.workers);
-            }
-            let seconds = t0.elapsed().as_secs_f64();
-            eprintln!(
-                "[perf] {:10} shards={shards} ({workers} workers) {:>9} req in {seconds:7.3}s  \
-                 ({:9.0} req/s, reconcile {:.2}%)",
-                design.name(),
-                served,
-                served as f64 / seconds,
-                reconcile_ns as f64 / (seconds * 1e9) * 100.0
-            );
-            shard_rows.push(ShardRow {
-                design: design.name(),
-                shards,
-                workers,
-                requests: served,
-                seconds,
-                epochs,
-                reconcile_ns,
-            });
-        }
-    }
-
     // Untimed profiled pass: per-phase attribution over the first
     // topology only, kept out of the timed rows above so the reported
     // req/s never carries profiler overhead.
@@ -219,30 +153,6 @@ fn main() {
             r.requests,
             r.seconds,
             r.requests as f64 / r.seconds
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    // Shard rows key their "design" field as NAME#sK so bench_compare.sh
-    // (which keys rows by that field) never collides them with the
-    // sequential rows above or with each other.
-    let _ = writeln!(json, "  \"shards\": [");
-    for (i, r) in shard_rows.iter().enumerate() {
-        let comma = if i + 1 < shard_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"design\": \"{}#s{}\", \"shards\": {}, \"workers\": {}, \
-             \"requests\": {}, \"seconds\": {:.3}, \"requests_per_sec\": {:.0}, \
-             \"epochs\": {}, \"reconcile_ns\": {}, \"reconcile_pct\": {:.3}}}{comma}",
-            r.design,
-            r.shards,
-            r.shards,
-            r.workers,
-            r.requests,
-            r.seconds,
-            r.requests as f64 / r.seconds,
-            r.epochs,
-            r.reconcile_ns,
-            r.reconcile_ns as f64 / (r.seconds * 1e9) * 100.0
         );
     }
     let _ = writeln!(json, "  ]");

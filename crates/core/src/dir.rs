@@ -76,41 +76,6 @@ impl ReplicaMasks {
         }
     }
 
-    /// Replaces the whole `pop` group of `object` with `mask`, dropping
-    /// the group when `mask == 0`. This is the epoch-sharded engine's
-    /// bulk resync primitive (`crate::shard`): at reconcile time each
-    /// lane rewrites its own PoP's group from its live directory in one
-    /// call per dirty object, instead of replaying per-bit insert and
-    /// remove churn.
-    pub fn set_group(&mut self, object: u32, pop: u32, mask: u128) {
-        let groups = &mut self.per_object[object as usize];
-        match groups.binary_search_by_key(&pop, |&(p, _)| p) {
-            Ok(i) => {
-                if mask == 0 {
-                    groups.remove(i);
-                } else {
-                    groups[i].1 = mask;
-                }
-            }
-            Err(i) => {
-                if mask != 0 {
-                    groups.insert(i, (pop, mask));
-                }
-            }
-        }
-    }
-
-    /// The presence mask of `object` within `pop` (0 when the PoP holds
-    /// no replica).
-    #[inline]
-    pub fn group(&self, object: u32, pop: u32) -> u128 {
-        let groups = &self.per_object[object as usize];
-        match groups.binary_search_by_key(&pop, |&(p, _)| p) {
-            Ok(i) => groups[i].1,
-            Err(_) => 0,
-        }
-    }
-
     /// Number of object slots (not replicas).
     pub fn len(&self) -> usize {
         self.per_object.len()
@@ -166,30 +131,6 @@ mod tests {
         assert_eq!(m.entries(0), &[(9, 1 << 127)]);
         m.remove(0, 9, 127);
         assert!(m.entries(0).is_empty());
-    }
-
-    #[test]
-    fn set_group_matches_per_bit_edits() {
-        let mut m = ReplicaMasks::new(1);
-        let mut per_bit = ReplicaMasks::new(1);
-        for (p, r) in [(3, 1), (0, 0), (3, 2), (1, 9)] {
-            per_bit.insert(0, p, r);
-        }
-        m.set_group(0, 3, (1 << 1) | (1 << 2));
-        m.set_group(0, 0, 1);
-        m.set_group(0, 1, 1 << 9);
-        assert_eq!(m.entries(0), per_bit.entries(0));
-        assert_eq!(m.group(0, 3), (1 << 1) | (1 << 2));
-        assert_eq!(m.group(0, 7), 0);
-        // Overwrite replaces rather than ORs; zero drops the group.
-        m.set_group(0, 3, 1 << 5);
-        assert_eq!(m.group(0, 3), 1 << 5);
-        m.set_group(0, 3, 0);
-        assert_eq!(m.group(0, 3), 0);
-        assert_eq!(m.entries(0), &[(0, 1), (1, 1 << 9)]);
-        // Setting an absent group to zero is a no-op.
-        m.set_group(0, 9, 0);
-        assert_eq!(m.entries(0), &[(0, 1), (1, 1 << 9)]);
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub mod fault;
 pub mod instrument;
 pub mod latency;
 pub mod metrics;
-pub mod shard;
 pub mod sim;
 pub mod sweep;
 
@@ -38,6 +37,5 @@ pub use design::{CacheSet, DesignKind, DesignSpec, Routing};
 pub use fault::{FaultConfig, FaultSchedule};
 pub use latency::LatencyModel;
 pub use metrics::{Improvement, RunMetrics};
-pub use shard::{ShardOpts, ShardRun};
 pub use sim::Simulator;
 pub use sweep::Scenario;

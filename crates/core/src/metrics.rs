@@ -84,37 +84,6 @@ impl RunMetrics {
         }
     }
 
-    /// Folds another run's counters into this one, element-wise.
-    ///
-    /// Used by the epoch-sharded engine (`crate::shard`): each PoP lane
-    /// accumulates into a private `RunMetrics` and the driver merges the
-    /// lanes in ascending PoP order. Every integer counter is a plain
-    /// add and both histograms merge bucket-wise, so the fold is exact;
-    /// `total_latency` is a sum of integer-valued `f64` latencies (the
-    /// `crate::costs` bit-identity contract), so even the float
-    /// accumulator is independent of merge order.
-    pub fn merge(&mut self, other: &RunMetrics) {
-        self.requests += other.requests;
-        self.total_latency += other.total_latency;
-        self.latency_hist.merge(&other.latency_hist);
-        for (a, b) in self.link_transfers.iter_mut().zip(&other.link_transfers) {
-            *a += b;
-        }
-        for (a, b) in self.origin_served.iter_mut().zip(&other.origin_served) {
-            *a += b;
-        }
-        self.cache_hits += other.cache_hits;
-        self.origin_hits += other.origin_hits;
-        for (a, b) in self.hits_by_level.iter_mut().zip(&other.hits_by_level) {
-            *a += b;
-        }
-        self.coop_hits += other.coop_hits;
-        self.failed_requests += other.failed_requests;
-        self.fault_latency_hist.merge(&other.fault_latency_hist);
-        self.corrupt_served += other.corrupt_served;
-        self.corrupt_detected += other.corrupt_detected;
-    }
-
     /// Requests that were actually served (requests minus failures).
     pub fn served(&self) -> u64 {
         self.requests - self.failed_requests

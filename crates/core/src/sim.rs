@@ -74,40 +74,35 @@ enum NrChoice {
 /// [`Simulator::advance_faults`] — the run loop visits request indices in
 /// order, so windows advance gap-free and crash events (which flush cache
 /// contents) are never skipped.
-///
-/// `pub(crate)` because the epoch-sharded engine (`crate::shard`) keeps
-/// one per lane: the schedule is a pure function of `(seed, entity,
-/// window)`, so every lane materializes the same per-window answers
-/// independently.
-pub(crate) struct FaultState {
-    pub(crate) schedule: FaultSchedule,
+struct FaultState {
+    schedule: FaultSchedule,
     /// Window the vectors below describe; `u64::MAX` forces the first
     /// rebuild at request 0.
-    pub(crate) window: u64,
-    pub(crate) node_down: Vec<bool>,
-    pub(crate) link_down: Vec<bool>,
-    pub(crate) origin_degraded: Vec<bool>,
+    window: u64,
+    node_down: Vec<bool>,
+    link_down: Vec<bool>,
+    origin_degraded: Vec<bool>,
     /// Fast skip for path-liveness checks when no link is down.
-    pub(crate) any_link_down: bool,
+    any_link_down: bool,
     /// True when any fault (node, link, or origin) is active this window;
     /// drives the latency-under-failure histogram.
-    pub(crate) fault_active: bool,
+    fault_active: bool,
     /// Serving-capacity gate applied to *degraded* origin PoPs, reusing
     /// the §5.1 capacity model (indexed by PoP, not router).
-    pub(crate) origin_capacity: CapacityTracker,
+    origin_capacity: CapacityTracker,
     /// Topology-derived shared-risk groups (§ DESIGN.md "Correlated fault
     /// model"); `None` unless the config carries a disaster layer with a
     /// positive group rate, so independent-fault runs pay nothing.
-    pub(crate) groups: Option<FaultGroups>,
+    groups: Option<FaultGroups>,
     /// Per-group down state for the current window (scratch, parallel to
     /// `groups`).
-    pub(crate) group_down: Vec<bool>,
+    group_down: Vec<bool>,
     /// PoPs degraded this window by cascading overload (scratch).
-    pub(crate) cascade: Vec<bool>,
+    cascade: Vec<bool>,
 }
 
 impl FaultState {
-    pub(crate) fn new(schedule: FaultSchedule, net: &Network) -> Self {
+    fn new(schedule: FaultSchedule, net: &Network) -> Self {
         let origin_capacity =
             CapacityTracker::new(schedule.config().degraded_origin, net.pops() as usize);
         let groups = schedule
@@ -132,7 +127,7 @@ impl FaultState {
     }
 
     /// Re-evaluates every entity's fault state for window `w`.
-    pub(crate) fn rebuild(&mut self, w: u64, net: &Network) {
+    fn rebuild(&mut self, w: u64, net: &Network) {
         // Cascading overload seeds are read off the *outgoing* window's
         // state before it is overwritten: a degraded origin that actually
         // saturated its capacity sheds load onto its core neighbors next
@@ -1582,10 +1577,9 @@ impl<'a> Simulator<'a> {
 /// order over candidates (node ids are unique within a directory), so the
 /// minimum — and therefore every selection built on it — is independent of
 /// candidate order. Takes struct-of-arrays slices so the scan is two
-/// contiguous walks; shared with the epoch-sharded engine
-/// (`crate::shard`), whose probe loops must match this one bit-for-bit.
+/// contiguous walks.
 #[inline]
-pub(crate) fn min_candidate(costs: &[f64], nodes: &[NodeId]) -> Option<usize> {
+fn min_candidate(costs: &[f64], nodes: &[NodeId]) -> Option<usize> {
     debug_assert_eq!(costs.len(), nodes.len());
     let mut best: Option<(usize, f64, NodeId)> = None;
     for (i, (&c, &n)) in costs.iter().zip(nodes).enumerate() {

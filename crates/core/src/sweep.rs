@@ -18,7 +18,6 @@ use crate::design::DesignKind;
 use crate::instrument::{peak_rss_kb, CellClock, CellSample, SimObs};
 use crate::latency::LatencyModel;
 use crate::metrics::{Improvement, RunMetrics};
-use crate::shard::{self, ShardOpts};
 use crate::sim::Simulator;
 use icn_topology::{AccessTree, Network, PopGraph};
 use icn_workload::origin::{assign_origins, OriginPolicy};
@@ -97,31 +96,7 @@ impl Scenario {
     }
 
     /// Runs one design with an explicit configuration.
-    ///
-    /// With `CELL_SHARDS` set (and the network/design pair eligible per
-    /// [`shard::supported`]), the run goes through the epoch-sharded
-    /// engine (DESIGN.md §13): `CELL_SHARDS` caps the intra-cell worker
-    /// count (output-invariant — any value produces the same bytes) and
-    /// `ICN_EPOCH_LEN` sets the semantic epoch length. Unset (or `0`),
-    /// the exact sequential simulator runs, as before.
     pub fn run_config(&self, cfg: ExperimentConfig) -> RunMetrics {
-        let shards = cell_shards();
-        if shards > 0 && shard::supported(&self.net, &cfg) {
-            let opts = ShardOpts {
-                shards: shard_workers(shards),
-                epoch_len: epoch_len(),
-                reference: reference_mode(),
-            };
-            return shard::run_sharded(
-                &self.net,
-                &cfg,
-                &self.origins,
-                &self.trace.object_sizes,
-                self.trace.requests.iter().copied(),
-                &opts,
-            )
-            .metrics;
-        }
         let mut sim = Simulator::new(&self.net, cfg, &self.origins, &self.trace.object_sizes);
         sim.run(&self.trace.requests);
         sim.metrics().clone()
@@ -230,60 +205,6 @@ fn uses_shared_baseline(cfg: &ExperimentConfig) -> bool {
         && cfg.fault.is_none_or(|f| f.is_zero())
 }
 
-/// Worker threads currently claimed by the cell-level fan-out of
-/// [`run_cells_reported`]. Intra-cell sharding divides its own thread
-/// budget by this, so cell × shard parallelism composes without
-/// oversubscribing the machine. Plain relaxed store/load: the value only
-/// sizes thread pools, and worker counts never reach an output byte.
-static ACTIVE_SWEEP_JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// The `CELL_SHARDS` knob: maximum intra-cell workers for the
-/// epoch-sharded engine; `0`/unset keeps the sequential simulator.
-fn cell_shards() -> usize {
-    static SHARDS: OnceLock<usize> = OnceLock::new();
-    *SHARDS.get_or_init(|| {
-        // Build-mode switch like ICN_SIM_REFERENCE: selects which engine
-        // runs; within either engine, runs are bit-reproducible and
-        // check.sh byte-compares CELL_SHARDS=1 against CELL_SHARDS=4.
-        // lint:allow(deterministic-core-reach): build-mode switch, not a per-run input
-        std::env::var_os("CELL_SHARDS")
-            .and_then(|v| v.into_string().ok())
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(0)
-    })
-}
-
-/// The `ICN_EPOCH_LEN` knob (default [`shard::DEFAULT_EPOCH_LEN`]).
-/// Semantic — it bounds cross-PoP snapshot staleness — so it is a
-/// modeling parameter, not a tuning one; see DESIGN.md §13.
-fn epoch_len() -> u64 {
-    static LEN: OnceLock<u64> = OnceLock::new();
-    *LEN.get_or_init(|| {
-        // lint:allow(deterministic-core-reach): build-mode switch, not a per-run input
-        std::env::var_os("ICN_EPOCH_LEN")
-            .and_then(|v| v.into_string().ok())
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(shard::DEFAULT_EPOCH_LEN)
-    })
-}
-
-/// Mirrors the `ICN_SIM_REFERENCE` switch of [`Simulator::new`] for the
-/// epoch engine, so check.sh can cross-compare all four engine × mode
-/// combinations.
-fn reference_mode() -> bool {
-    // lint:allow(deterministic-core-reach): build-mode switch, not a per-run input
-    std::env::var_os("ICN_SIM_REFERENCE").is_some_and(|v| v != "0")
-}
-
-/// Intra-cell worker budget: the user's `CELL_SHARDS` cap, clamped so
-/// that `cell jobs × shard workers` stays within the machine's available
-/// parallelism. Never changes output bytes — only wall-clock.
-fn shard_workers(shards: usize) -> usize {
-    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let jobs = ACTIVE_SWEEP_JOBS.load(Ordering::Relaxed).max(1);
-    shards.min((avail / jobs).max(1))
-}
-
 /// One unit of parallel sweep work: evaluate `cfg` on `scenario`.
 pub struct SweepCell<'a> {
     /// The scenario the configuration runs against.
@@ -360,10 +281,6 @@ where
             .map(|(i, c)| run_cell(0, i, c))
             .collect();
     }
-    // Publish the fan-out width so intra-cell sharding (`CELL_SHARDS`)
-    // shrinks its own worker budget accordingly for the duration.
-    ACTIVE_SWEEP_JOBS.store(jobs, Ordering::Relaxed);
-
     // Pre-warm: every distinct scenario that at least one cell normalizes
     // against the shared baseline gets its no-cache run computed exactly
     // once, in parallel, *before* the cell fan-out — so no worker stalls
@@ -408,7 +325,6 @@ where
             });
         }
     });
-    ACTIVE_SWEEP_JOBS.store(1, Ordering::Relaxed);
     slots
         .into_iter()
         .map(|slot| {

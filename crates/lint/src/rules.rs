@@ -23,11 +23,6 @@ pub const INSTRUMENT_FILE: &str = "instrument.rs";
 /// order, so completion-order collection primitives are banned there.
 pub const SWEEP_FILE: &str = "sweep.rs";
 
-/// The epoch-sharded intra-cell engine: the same submission-order merge
-/// discipline as [`SWEEP_FILE`] applies — lane deltas are reconciled in
-/// canonical `(pop, seq)` order, never collected in completion order.
-pub const SHARD_FILE: &str = "shard.rs";
-
 /// The fault-injection schedule: documented as a *pure function* of
 /// `(seed, config, window)`, so on top of the base entropy bans any clock
 /// or RNG machinery at all is rejected there — a bare `Instant`,
@@ -378,7 +373,7 @@ pub fn check_rule(rule: &'static str, rel_path: &str, file: &SourceFile) -> Rule
         }
         DETERMINISTIC if det_scoped => {
             scan_patterns(DETERMINISTIC, ENTROPY_PATTERNS, rel_path, file, &mut out);
-            if origin.file_name() == SWEEP_FILE || origin.file_name() == SHARD_FILE {
+            if origin.file_name() == SWEEP_FILE {
                 scan_patterns(
                     DETERMINISTIC,
                     ORDERED_MERGE_PATTERNS,

@@ -692,82 +692,6 @@ fn unresolvable_reach_and_hot_path_entries_are_flagged() {
     );
 }
 
-/// Guard for the PR 10 invariant: the epoch-sharded engine merges lane
-/// deltas in canonical `(pop, seq)` order, so `shard.rs` carries the same
-/// completion-order-collection ban as `sweep.rs`; its lane directory is a
-/// keyed `HashMap`, legal only behind an explicit allow.
-#[test]
-fn shard_engine_must_merge_in_submission_order() {
-    let fx = Fixture::new();
-    fx.write(
-        "crates/core/src/shard.rs",
-        concat!(
-            "use std::sync::mpsc;\n",
-            "fn collect(m: &std::sync::Mutex<Vec<u32>>) {}\n",
-            "fn lanes(d: &std::collections::HashMap<u32, u128>) {}\n",
-            "// lint:allow(deterministic-core): keyed lookups only, order never observed\n",
-            "fn dir(d: &std::collections::HashMap<u32, u128>) {}\n",
-        ),
-    );
-    let report = fx.scan(&Config::default());
-    assert_eq!(
-        keys(&report),
-        vec![
-            "deterministic-core:crates/core/src/shard.rs:1",
-            "deterministic-core:crates/core/src/shard.rs:2",
-            "deterministic-core:crates/core/src/shard.rs:3",
-        ],
-        "mpsc/Mutex banned, bare HashMap flagged, allowed HashMap passes"
-    );
-    assert!(report.new[0].message.contains("submission-indexed"));
-}
-
-/// Guard for the PR 10 invariant: the per-epoch reconcile loop is a
-/// configured hot-path root, so allocating a fresh delta buffer per epoch
-/// fails the scan; the swap-with-persistent-scratch shape passes.
-#[test]
-fn shard_reconcile_loop_must_not_allocate() {
-    let fx = Fixture::new();
-    let config = Config {
-        hot_path: vec!["shard::reconcile".into()],
-        ..Config::default()
-    };
-    fx.write(
-        "crates/core/src/shard.rs",
-        concat!(
-            "fn reconcile(lanes: &mut [Vec<u32>]) {\n",
-            "    for lane in lanes.iter_mut() {\n",
-            "        let drained: Vec<u32> = Vec::new();\n",
-            "        lane.clear();\n",
-            "        let _ = drained;\n",
-            "    }\n",
-            "}\n",
-        ),
-    );
-    let report = fx.scan(&config);
-    assert_eq!(
-        keys(&report),
-        vec!["hot-path-alloc:crates/core/src/shard.rs:3"],
-        "per-epoch allocation in the reconcile loop must be flagged"
-    );
-    fx.write(
-        "crates/core/src/shard.rs",
-        concat!(
-            "fn reconcile(lanes: &mut [Vec<u32>], scratch: &mut Vec<u32>) {\n",
-            "    for lane in lanes.iter_mut() {\n",
-            "        std::mem::swap(lane, scratch);\n",
-            "        scratch.clear();\n",
-            "        std::mem::swap(lane, scratch);\n",
-            "    }\n",
-            "}\n",
-        ),
-    );
-    assert!(
-        fx.scan(&config).ok(),
-        "capacity-preserving swap with a caller-owned scratch is clean"
-    );
-}
-
 #[test]
 fn fixture_paths_are_real() {
     let fx = Fixture::new();

@@ -30,8 +30,8 @@ for f in "$baseline" "$candidate"; do
     fi
     # Every section perf emits must be present in both files; a silent
     # partial comparison would report "ok" while skipping whole sections
-    # (e.g. a baseline written before the shard sweep existed).
-    for section in '"total"' '"profile"' '"designs"' '"shards"'; do
+    # (e.g. a baseline written before the profile section existed).
+    for section in '"total"' '"profile"' '"designs"'; do
         if ! grep -q "$section" "$f"; then
             echo "bench_compare: $f is missing the $section section" \
                 "(stale baseline? regenerate with: perf --out)" >&2

@@ -48,10 +48,7 @@ dyn4="$(mktemp /tmp/dynamics-jobs4.XXXXXX.txt)"
 benchjson="$(mktemp /tmp/bench-sim.XXXXXX.json)"
 benchjson2="$(mktemp /tmp/bench-sim2.XXXXXX.json)"
 outprof="$(mktemp /tmp/fig6-profiled.XXXXXX.txt)"
-shard1="$(mktemp /tmp/fig6-shards1.XXXXXX.txt)"
-shard4="$(mktemp /tmp/fig6-shards4.XXXXXX.txt)"
-shardref="$(mktemp /tmp/fig6-shardsref.XXXXXX.txt)"
-trap 'rm -f "$sidecar" "$out1" "$out4" "$outref" "$fail1" "$fail4" "$dis1" "$dis4" "$dyn1" "$dyn4" "$benchjson" "$benchjson2" "$outprof" "$shard1" "$shard4" "$shardref"' EXIT
+trap 'rm -f "$sidecar" "$out1" "$out4" "$outref" "$fail1" "$fail4" "$dis1" "$dis4" "$dyn1" "$dyn4" "$benchjson" "$benchjson2" "$outprof"' EXIT
 SCALE="${SCALE:-0.02}" cargo run --release -p icn-bench --bin fig6 -- \
     --telemetry "$sidecar" >/dev/null
 cargo run --release -p icn-bench --bin telemetry_check -- "$sidecar" >/dev/null
@@ -73,22 +70,6 @@ SCALE="${SCALE:-0.02}" JOBS=1 ICN_SIM_REFERENCE=1 \
 cmp "$out1" "$outref"
 echo "flat and reference stdout byte-identical"
 
-echo "=== intra-cell shard determinism (fig6 CELL_SHARDS=1 vs 4, vs reference)"
-# The epoch-sharded engine defines its semantics per-PoP, so the worker
-# count is pure mechanics: CELL_SHARDS=1 and CELL_SHARDS=4 must print the
-# same bytes, and both must match the reference (non-SoA) lane kernels.
-# Cell-level JOBS composes with intra-cell shards; stacking both must not
-# move a byte either.
-SCALE="${SCALE:-0.02}" JOBS=1 CELL_SHARDS=1 \
-    cargo run --release -p icn-bench --bin fig6 >"$shard1" 2>/dev/null
-SCALE="${SCALE:-0.02}" JOBS=4 CELL_SHARDS=4 \
-    cargo run --release -p icn-bench --bin fig6 >"$shard4" 2>/dev/null
-SCALE="${SCALE:-0.02}" JOBS=1 CELL_SHARDS=4 ICN_SIM_REFERENCE=1 \
-    cargo run --release -p icn-bench --bin fig6 >"$shardref" 2>/dev/null
-cmp "$shard1" "$shard4"
-cmp "$shard1" "$shardref"
-echo "CELL_SHARDS=1 and CELL_SHARDS=4 (with JOBS=4 and reference mode) byte-identical"
-
 echo "=== profiler determinism cross-check (fig6 ICN_PROFILE=1)"
 # Profiling is pure observation: enabling it must not move a single digit
 # of the printed figures (spans time phases but never steer the sweep).
@@ -103,8 +84,6 @@ grep -q '"bench": "sim"' "$benchjson"
 grep -q '"requests_per_sec"' "$benchjson"
 grep -q '"profile"' "$benchjson"
 grep -q '"jobs"' "$benchjson"
-grep -q '"shards"' "$benchjson"
-grep -q '"reconcile_pct"' "$benchjson"
 cargo run --release -p icn-bench --bin telemetry_check -- --profile "$benchjson" >/dev/null
 echo "perf smoke OK (profile section validates): $benchjson"
 

@@ -1,10 +1,11 @@
 //! Property tests over the simulator: invariants that must hold for every
 //! design, topology shape, and workload drawn by proptest.
 
+use icn_cache::PolicyKind;
 use icn_core::config::ExperimentConfig;
 use icn_core::design::DesignKind;
 use icn_core::sim::Simulator;
-use icn_topology::{pop::PopGraph, AccessTree, Network};
+use icn_topology::{pop, pop::PopGraph, AccessTree, Network};
 use icn_workload::origin::{assign_origins, OriginPolicy};
 use icn_workload::trace::{Locality, Trace, TraceConfig};
 use proptest::prelude::*;
@@ -143,6 +144,67 @@ proptest! {
         for v in [imp.latency_pct, imp.congestion_pct, imp.origin_pct] {
             prop_assert!(v <= 100.0, "{design:?}: {v}");
             prop_assert!(v >= -5.0, "{design:?}: improvement suspiciously negative: {v}");
+        }
+    }
+}
+
+/// LRU is a stack algorithm: on the same request sequence, a larger LRU
+/// cache holds a superset of a smaller one's contents at every step, so it
+/// hits at least as often. Under EDGE each leaf cache sees a fixed request
+/// subsequence (misses go straight to the origin, nothing is shared), and
+/// `per_node_budgets` rounds a function that grows with `F`, so no node's
+/// budget shrinks as `F` rises. Hence per-level hit counts are exactly
+/// monotone in `F` — an oracle that shares no code with the simulator.
+#[test]
+fn edge_lru_hits_never_fall_as_budget_grows() {
+    let net = Network::new(pop::abilene(), AccessTree::new(2, 3));
+    for seed in [1u64, 7, 99, 1234] {
+        for locality in [
+            None,
+            Some(Locality {
+                q: 0.5,
+                window: 256,
+            }),
+        ] {
+            let cfg = TraceConfig {
+                requests: 4_000,
+                objects: 1_000,
+                alpha: 0.9,
+                skew: 0.0,
+                locality,
+                sizes: icn_workload::sizes::SizeModel::Unit,
+                seed,
+                dynamics: None,
+            };
+            let trace = Trace::synthesize(cfg, &net.core.populations, net.leaves_per_pop());
+            let origins = assign_origins(
+                OriginPolicy::PopulationProportional,
+                trace.config.objects,
+                &net.core.populations,
+                seed ^ 1,
+            );
+            let mut prev: Option<(f64, Vec<u64>)> = None;
+            for step in 0..=40 {
+                let f_fraction = step as f64 * 0.0025;
+                let mut exp = ExperimentConfig::baseline(DesignKind::Edge);
+                exp.policy = PolicyKind::Lru;
+                exp.f_fraction = f_fraction;
+                let mut sim = Simulator::new(&net, exp, &origins, &trace.object_sizes);
+                sim.run(&trace.requests);
+                let hits = sim.metrics().hits_by_level.clone();
+                if let Some((prev_f, prev_hits)) = &prev {
+                    for (level, (&lo, &hi)) in prev_hits.iter().zip(&hits).enumerate() {
+                        assert!(
+                            hi >= lo,
+                            "seed {seed}, locality {locality:?}: level {level} hits fell \
+                             from {lo} at F={prev_f} to {hi} at F={f_fraction}"
+                        );
+                    }
+                }
+                prev = Some((f_fraction, hits));
+            }
+            let (_, top) = prev.expect("the grid is non-empty");
+            assert!(top.iter().sum::<u64>() > 0, "the largest budget must hit");
         }
     }
 }
