@@ -234,6 +234,18 @@ impl CostTable {
     pub fn t_of_rank(&self, r: u32) -> u32 {
         self.t_of_rank[r as usize]
     }
+
+    /// Climb-to-root cost of the tree index with rank `r`.
+    #[inline]
+    pub(crate) fn climb_of_rank(&self, r: u32) -> f64 {
+        self.climb_by_rank[r as usize]
+    }
+
+    /// Routers per PoP (the shared access-tree size).
+    #[inline]
+    pub(crate) fn tree_nodes(&self) -> u32 {
+        self.tree_nodes
+    }
 }
 
 /// See [`CostTable::from`]: a source-pinned view whose [`CostFrom::to`]
@@ -244,7 +256,7 @@ pub struct CostFrom<'a> {
     ta: u32,
 }
 
-impl CostFrom<'_> {
+impl<'a> CostFrom<'a> {
     /// `path_cost(a, b)` for the pinned source `a`.
     #[inline]
     pub fn to(&self, b: NodeId) -> f64 {
@@ -271,57 +283,23 @@ impl CostFrom<'_> {
         self.ta
     }
 
+    /// The pinned source router.
+    #[inline]
+    pub(crate) fn node(&self) -> NodeId {
+        self.pa * self.table.tree_nodes + self.ta
+    }
+
+    /// The table this view reads.
+    #[inline]
+    pub(crate) fn table(&self) -> &'a CostTable {
+        self.table
+    }
+
     /// Same-PoP cost to tree index `tb` — bit-identical to [`CostFrom::to`]
     /// for a destination inside the source's own PoP.
     #[inline]
     pub fn to_tree(&self, tb: u32) -> f64 {
         self.table.intra_cost(self.ta, tb)
-    }
-
-    /// Folds the same-PoP candidates of `mask` — presence bits indexed by
-    /// climb rank, for the *source's own* PoP — into `best` under the
-    /// `(cost, NodeId)` order, skipping the source itself.
-    ///
-    /// Own-PoP costs go through the LCA and are not monotone in rank, so
-    /// this walk cannot take one `trailing_zeros` representative the way
-    /// foreign PoPs do — but it can stop early. For any same-PoP target
-    /// `t` with LCA `L`:
-    ///
-    /// ```text
-    /// cost(a, t) = (climb(a) − climb(L)) + (climb(t) − climb(L))
-    ///            ≥  climb(a) − climb(t)        (L is an ancestor of t)
-    /// ```
-    ///
-    /// Walking ranks *descending* (deepest replica first) makes that
-    /// lower bound non-decreasing, so once it strictly exceeds the
-    /// running best cost no remaining candidate can win — not even on
-    /// the `NodeId` tie-break — and the scan stops. Climb values are
-    /// integer-valued `f64`s, so the bound arithmetic is exact. The fold
-    /// is a pure minimum under a total order; the result is bit-identical
-    /// to the exhaustive walk it replaces.
-    #[inline]
-    pub fn min_in_own_mask(&self, mask: u128, best: &mut Option<(f64, NodeId)>) {
-        let t = self.table;
-        let climb_a = t.climb_root[self.ta as usize];
-        let mut bits = mask;
-        while bits != 0 {
-            let r = 127 - bits.leading_zeros();
-            bits &= !(1u128 << r);
-            if let Some((bc, _)) = *best {
-                if climb_a - t.climb_by_rank[r as usize] > bc {
-                    break;
-                }
-            }
-            let tb = t.t_of_rank[r as usize];
-            if tb == self.ta {
-                continue;
-            }
-            let c = t.intra_cost(self.ta, tb);
-            let n = self.pa * t.tree_nodes + tb;
-            if best.is_none_or(|(bc, bn)| c < bc || (c == bc && n < bn)) {
-                *best = Some((c, n));
-            }
-        }
     }
 
     /// Cross-PoP cost to the replica of climb-rank `r` in PoP `pb`
@@ -436,64 +414,6 @@ mod tests {
                         );
                     }
                     prev = Some((cost, node));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn min_in_own_mask_matches_exhaustive_scan() {
-        let net = Network::new(pop::abilene(), AccessTree::new(2, 3));
-        let tn = net.tree.nodes();
-        for model in models() {
-            let table = CostTable::new(&net, model);
-            // Deterministic LCG over dense, sparse, and single-bit masks.
-            let mut state = 0x2545_f491_4f6c_dd1du64;
-            let mut masks: Vec<u128> = vec![0, 1, (1u128 << tn) - 1];
-            for _ in 0..200 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let lo = state as u128;
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let hi = (state as u128) << 64;
-                masks.push((hi | lo) & ((1u128 << tn) - 1));
-                masks.push(1u128 << (state % tn as u64));
-            }
-            for src_t in 0..tn {
-                let src = net.node(2, src_t);
-                let from = table.from(src);
-                for &mask in &masks {
-                    let mut got: Option<(f64, NodeId)> = None;
-                    from.min_in_own_mask(mask, &mut got);
-                    // Reference: ascending full walk, same tie-break.
-                    let mut want: Option<(f64, NodeId)> = None;
-                    let mut bits = mask;
-                    while bits != 0 {
-                        let r = bits.trailing_zeros();
-                        bits &= bits - 1;
-                        let t = table.t_of_rank(r);
-                        if t == src_t {
-                            continue;
-                        }
-                        let c = from.to_tree(t);
-                        let n = 2 * tn + t;
-                        if want.is_none_or(|(bc, bn)| c < bc || (c == bc && n < bn)) {
-                            want = Some((c, n));
-                        }
-                    }
-                    let key = |o: Option<(f64, NodeId)>| o.map(|(c, n)| (c.to_bits(), n));
-                    assert_eq!(key(got), key(want), "{model:?}: mask {mask:#x}");
-                    // Folding into a pre-seeded best must behave like a
-                    // running minimum, too.
-                    let seed = Some((1.0, 0));
-                    let mut got2 = seed;
-                    from.min_in_own_mask(mask, &mut got2);
-                    let want2 = match (seed, want) {
-                        (Some((sc, sn)), Some((wc, wn))) if wc < sc || (wc == sc && wn < sn) => {
-                            want
-                        }
-                        _ => seed,
-                    };
-                    assert_eq!(key(got2), key(want2), "{model:?}: seeded mask {mask:#x}");
                 }
             }
         }

@@ -21,7 +21,7 @@ use crate::capacity::CapacityTracker;
 use crate::config::{ExperimentConfig, InsertionPolicy};
 use crate::costs::CostTable;
 use crate::design::{DesignSpec, Routing};
-use crate::dir::{ReplicaMasks, MAX_MASK_TREE};
+use crate::dir::ReplicaDir;
 use crate::fault::{FaultGroups, FaultSchedule, NO_GROUP};
 use crate::instrument::SimObs;
 use crate::metrics::{RunMetrics, LATENCY_HIST_SCALE};
@@ -224,18 +224,10 @@ pub struct Simulator<'a> {
     /// those passes on one contiguous array instead of striding through
     /// the enum slots.
     equipped: Vec<bool>,
-    /// `replica_dir[object]` = cache-equipped routers currently holding the
-    /// object, in *arbitrary* order (selection breaks cost ties by
-    /// `NodeId`, so insertion order never matters). Maintained under
-    /// nearest-replica routing when `masks` is inactive — reference mode,
-    /// or trees too large for a `u128` presence mask.
-    replica_dir: Vec<Vec<NodeId>>,
-    /// Bit-packed replica directory (see [`crate::dir`]): the flat-mode
-    /// replacement for `replica_dir`. Selection reads one per-PoP
-    /// representative via `trailing_zeros` instead of scanning every
-    /// replica, and insert/evict/flush are branch-free bit updates.
-    /// Exactly one of `masks` / `replica_dir` is live at a time.
-    masks: Option<ReplicaMasks>,
+    /// The cache-equipped routers holding each object (see
+    /// [`crate::dir`]), kept in sync with `caches` under nearest-replica
+    /// routing and `None` otherwise.
+    dir: Option<ReplicaDir>,
     origins: &'a [u16],
     object_sizes: &'a [u32],
     capacity: Option<CapacityTracker>,
@@ -274,17 +266,13 @@ pub struct Simulator<'a> {
     cand_cost: Vec<f64>,
     /// Candidate node ids, parallel to `cand_cost`.
     cand_node: Vec<NodeId>,
-    /// Tuple-shaped candidate scratch for the reference mode's legacy
-    /// allocate-and-stable-sort selection (kept deliberately in the old
-    /// array-of-structs shape — reference mode exercises the legacy
-    /// implementation).
-    cand_pairs: Vec<(f64, NodeId)>,
-    /// Validation mode (`ICN_SIM_REFERENCE=1`): route every path-cost
-    /// query through [`LatencyModel::path_cost`] and every candidate scan
-    /// through the legacy allocate-and-stable-sort implementation, under
-    /// the *same* `(cost, NodeId)` ordering contract. `scripts/check.sh`
-    /// byte-compares fig6 output with and without the flag, proving the
-    /// flat structures change nothing.
+    /// Validation mode (`ICN_SIM_REFERENCE=1`): every path cost comes from
+    /// [`LatencyModel::path_cost`], and nearest-replica candidates come
+    /// from ground truth — every equipped router whose cache holds the
+    /// object — instead of the replica directory. `scripts/check.sh`
+    /// byte-compares fig6 output with and without the flag, so a
+    /// directory that drifts from the caches, or a cost table that drifts
+    /// from the model, changes a figure.
     ///
     /// [`LatencyModel::path_cost`]: crate::latency::LatencyModel::path_cost
     reference: bool,
@@ -326,14 +314,9 @@ impl<'a> Simulator<'a> {
         // byte-compares against the flat path; within either mode runs are bit-reproducible.
         // lint:allow(deterministic-core-reach): build-mode switch, not a per-run input
         let reference = std::env::var_os("ICN_SIM_REFERENCE").is_some_and(|v| v != "0");
-        let track = spec.routing == Routing::NearestReplica;
-        let use_masks = track && !reference && net.tree.nodes() <= MAX_MASK_TREE;
-        let replica_dir = if track && !use_masks {
-            vec![Vec::new(); origins.len()]
-        } else {
-            Vec::new()
-        };
-        let masks = use_masks.then(|| ReplicaMasks::new(origins.len()));
+        let costs = CostTable::new(net, cfg.latency);
+        let dir = (spec.routing == Routing::NearestReplica)
+            .then(|| ReplicaDir::new(origins.len(), &costs));
         let capacity = cfg
             .capacity
             .map(|c| CapacityTracker::new(c, net.node_count() as usize));
@@ -345,7 +328,6 @@ impl<'a> Simulator<'a> {
             net.pops() as usize,
             net.tree.depth,
         );
-        let costs = CostTable::new(net, cfg.latency);
         let ttl_len = caches.iter().find_map(CacheSlot::ttl);
         let equipped = caches.iter().map(CacheSlot::is_equipped).collect();
         Self {
@@ -355,8 +337,7 @@ impl<'a> Simulator<'a> {
             costs,
             caches,
             equipped,
-            replica_dir,
-            masks,
+            dir,
             origins,
             object_sizes,
             capacity,
@@ -372,7 +353,6 @@ impl<'a> Simulator<'a> {
             siblings_buf: Vec::new(),
             cand_cost: Vec::new(),
             cand_node: Vec::new(),
-            cand_pairs: Vec::new(),
             reference,
         }
     }
@@ -380,74 +360,34 @@ impl<'a> Simulator<'a> {
     /// Switches between the flat hot path (default) and the reference
     /// implementation it must match bit-for-bit; see the `reference` field.
     /// Exposed so determinism tests can flip modes without racing on the
-    /// process-wide `ICN_SIM_REFERENCE` environment variable. Converts the
-    /// replica directory between its bitmask and `Vec` representations so
-    /// the flip is valid even mid-run.
+    /// process-wide `ICN_SIM_REFERENCE` environment variable. The replica
+    /// directory is maintained in both modes, so the flip is valid even
+    /// mid-run.
     pub fn set_reference(&mut self, reference: bool) {
-        if reference == self.reference {
-            return;
-        }
         self.reference = reference;
-        if self.spec.routing != Routing::NearestReplica {
-            return;
-        }
-        let tn = self.net.tree.nodes();
-        if reference {
-            if let Some(masks) = self.masks.take() {
-                self.replica_dir = (0..masks.len() as u32)
-                    .map(|o| {
-                        let mut nodes = Vec::new();
-                        for &(p, mask) in masks.entries(o) {
-                            let mut bits = mask;
-                            while bits != 0 {
-                                let r = bits.trailing_zeros();
-                                bits &= bits - 1;
-                                nodes.push(p * tn + self.costs.t_of_rank(r));
-                            }
-                        }
-                        nodes
-                    })
-                    .collect();
-            }
-        } else if tn <= MAX_MASK_TREE {
-            let mut masks = ReplicaMasks::new(self.replica_dir.len());
-            for (o, nodes) in self.replica_dir.iter().enumerate() {
-                for &n in nodes {
-                    let (p, t) = (self.net.pop_of(n), self.net.tree_index(n));
-                    masks.insert(o as u32, p, self.costs.rank_of(t));
-                }
-            }
-            self.replica_dir = Vec::new();
-            self.masks = Some(masks);
-        }
     }
 
     /// The routers currently holding `object` per the nearest-replica
-    /// directory, ascending by `NodeId` — a diagnostics/test view that
-    /// works over either directory representation.
+    /// directory, ascending by `NodeId` (empty under shortest-path
+    /// routing, which keeps no directory).
     pub fn replicas_of(&self, object: u32) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = match &self.masks {
-            Some(masks) => {
-                let tn = self.net.tree.nodes();
-                let mut out = Vec::new();
-                for &(p, mask) in masks.entries(object) {
-                    let mut bits = mask;
-                    while bits != 0 {
-                        let r = bits.trailing_zeros();
-                        bits &= bits - 1;
-                        out.push(p * tn + self.costs.t_of_rank(r));
-                    }
-                }
-                out
-            }
-            None => self
-                .replica_dir
-                .get(object as usize)
-                .cloned()
-                .unwrap_or_default(),
-        };
-        nodes.sort_unstable();
-        nodes
+        self.dir
+            .as_ref()
+            .map_or_else(Vec::new, |d| d.replicas(object, &self.costs))
+    }
+
+    /// The equipped routers whose cache holds `object`, ascending — the
+    /// ground truth [`Simulator::replicas_of`] must equal.
+    pub fn holders_of(&self, object: u32) -> Vec<NodeId> {
+        self.holders(object).collect()
+    }
+
+    /// Every equipped router whose cache slot holds `object`, down nodes
+    /// included (a crash flushes a cache; an outage alone does not).
+    fn holders(&self, object: u32) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.net.node_count()).filter(move |&n| {
+            self.equipped[n as usize] && self.caches[n as usize].contains(object as u64)
+        })
     }
 
     /// Attaches instrumentation; subsequent [`Simulator::run`] calls report
@@ -529,17 +469,9 @@ impl<'a> Simulator<'a> {
                 break;
             }
             self.ttl_queue.pop_front();
-            if self.caches[node as usize].expire(object as u64, stamp)
-                && self.spec.routing == Routing::NearestReplica
-            {
-                if let Some(masks) = &mut self.masks {
-                    let (p, t) = (self.net.pop_of(node), self.net.tree_index(node));
-                    masks.remove(object, p, self.costs.rank_of(t));
-                } else {
-                    let dir = &mut self.replica_dir[object as usize];
-                    if let Some(pos) = dir.iter().position(|&n| n == node) {
-                        dir.swap_remove(pos);
-                    }
+            if self.caches[node as usize].expire(object as u64, stamp) {
+                if let Some(dir) = &mut self.dir {
+                    dir.remove(object, node, &self.costs);
                 }
             }
         }
@@ -598,18 +530,9 @@ impl<'a> Simulator<'a> {
     /// removal plus nearest-replica directory sync (the same invariant
     /// lease expiry maintains in [`Simulator::expire_due`]).
     fn evict_replica(&mut self, node: NodeId, object: u32) {
-        if !self.caches[node as usize].remove(object as u64) {
-            return;
-        }
-        if self.spec.routing == Routing::NearestReplica {
-            if let Some(masks) = &mut self.masks {
-                let (p, t) = (self.net.pop_of(node), self.net.tree_index(node));
-                masks.remove(object, p, self.costs.rank_of(t));
-            } else {
-                let dir = &mut self.replica_dir[object as usize];
-                if let Some(pos) = dir.iter().position(|&n| n == node) {
-                    dir.swap_remove(pos);
-                }
+        if self.caches[node as usize].remove(object as u64) {
+            if let Some(dir) = &mut self.dir {
+                dir.remove(object, node, &self.costs);
             }
         }
     }
@@ -617,22 +540,11 @@ impl<'a> Simulator<'a> {
     /// Empties the cache at `node` (crash semantics), keeping the
     /// nearest-replica directory consistent.
     fn flush_cache(&mut self, node: NodeId) {
-        let track = self.spec.routing == Routing::NearestReplica;
         let c = &mut self.caches[node as usize];
         if c.is_equipped() {
-            if track && !c.is_empty() {
-                if let Some(masks) = &mut self.masks {
-                    let (p, t) = (self.net.pop_of(node), self.net.tree_index(node));
-                    let r = self.costs.rank_of(t);
-                    for o in 0..masks.len() as u32 {
-                        masks.remove(o, p, r);
-                    }
-                } else {
-                    for dir in &mut self.replica_dir {
-                        if let Some(pos) = dir.iter().position(|&n| n == node) {
-                            dir.swap_remove(pos);
-                        }
-                    }
+            if !c.is_empty() {
+                if let Some(dir) = &mut self.dir {
+                    dir.remove_node(node, &self.costs);
                 }
             }
             c.clear();
@@ -1062,63 +974,17 @@ impl<'a> Simulator<'a> {
         // selection inside nests as a child phase.
         let dir_span = self.obs.as_ref().and_then(|o| o.dir_span(idx));
         let choice = if self.fault.is_none() {
-            // Fault-free paths: the Option-free hot loop.
-            let server = if self.capacity.is_some() {
+            // Fault-free: the flat path takes the directory's nearest
+            // replica in one pass; capacity limits and the reference
+            // oracle probe the full candidate set.
+            let server = if self.capacity.is_some() || self.reference {
                 self.select_nr_capacity(leaf, object, origin_cost, idx)
             } else {
                 let _select_span = self.obs.as_ref().and_then(|o| o.select_span(idx));
-                // Single allocation-free pass for the minimum-(cost, id)
-                // replica — the tie-break makes selection independent of
-                // `replica_dir` insertion order.
-                let mut best: Option<(f64, NodeId)> = None;
-                if self.reference {
-                    for &n in &self.replica_dir[object as usize] {
-                        if n == leaf {
-                            continue; // leaf already checked (capacity may have failed)
-                        }
-                        let c = self.cfg.latency.path_cost(self.net, leaf, n);
-                        if best.is_none_or(|(bc, bn)| c < bc || (c == bc && n < bn)) {
-                            best = Some((c, n));
-                        }
-                    }
-                } else if let Some(masks) = &self.masks {
-                    // Rank-ordered masks: one candidate per foreign PoP
-                    // (its first set bit is provably that PoP's
-                    // (cost, NodeId)-minimal replica). The leaf's own PoP
-                    // still needs per-candidate LCA costs, but its walk
-                    // runs deepest-rank-first with a climb-difference
-                    // lower bound that stops the scan early — see
-                    // [`CostFrom::min_in_own_mask`].
-                    //
-                    // [`CostFrom::min_in_own_mask`]: crate::costs::CostFrom::min_in_own_mask
-                    let from = self.costs.from(leaf);
-                    let pa = from.pop();
-                    let tn = self.net.tree.nodes();
-                    for &(p, mask) in masks.entries(object) {
-                        if p == pa {
-                            from.min_in_own_mask(mask, &mut best);
-                        } else {
-                            let r = mask.trailing_zeros();
-                            let c = from.to_pop_rank(p, r);
-                            let n = p * tn + self.costs.t_of_rank(r);
-                            if best.is_none_or(|(bc, bn)| c < bc || (c == bc && n < bn)) {
-                                best = Some((c, n));
-                            }
-                        }
-                    }
-                } else {
-                    let from = self.costs.from(leaf);
-                    for &n in &self.replica_dir[object as usize] {
-                        if n == leaf {
-                            continue; // leaf already checked (capacity may have failed)
-                        }
-                        let c = from.to(n);
-                        if best.is_none_or(|(bc, bn)| c < bc || (c == bc && n < bn)) {
-                            best = Some((c, n));
-                        }
-                    }
-                }
-                best.filter(|&(c, _)| c < origin_cost)
+                self.dir
+                    .as_ref()
+                    .and_then(|d| d.nearest(object, &self.costs.from(leaf)))
+                    .filter(|&(c, _)| c < origin_cost)
             };
             match server {
                 Some((c, n)) => NrChoice::Replica {
@@ -1223,46 +1089,45 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Expands the mask directory's candidates for `object` into the
-    /// parallel `costs_out`/`nodes_out` arrays, skipping `leaf` and any
-    /// candidate at or above `max_cost` — the mask-mode equivalent of
-    /// iterating `replica_dir[object]`. Used by the capacity-limited and
-    /// faulted selections, which may need to probe past the per-PoP
-    /// minimum and therefore want the full candidate set.
-    fn extend_cands_from_masks(
-        &self,
+    /// Takes the candidate scratch buffers (`cand_cost`/`cand_node`),
+    /// filled with every replica of `object` other than `leaf` whose cost
+    /// is below `max_cost`: from the directory, or in reference mode from
+    /// the caches themselves, costed by the latency model. Reference
+    /// candidates use the raw cache slot, not
+    /// [`Simulator::cache_contains`], because the directory lists down
+    /// nodes too; the selections check liveness when they probe. Callers
+    /// hand the buffers back when done.
+    fn gather_candidates(
+        &mut self,
         object: u32,
         leaf: NodeId,
         max_cost: f64,
-        costs_out: &mut Vec<f64>,
-        nodes_out: &mut Vec<NodeId>,
-    ) {
-        let Some(masks) = &self.masks else {
-            return; // callers gate on `masks.is_some()`
-        };
-        let from = self.costs.from(leaf);
-        let (pa, ta) = (from.pop(), from.tree());
-        let tn = self.net.tree.nodes();
-        for &(p, mask) in masks.entries(object) {
-            let mut bits = mask;
-            while bits != 0 {
-                let r = bits.trailing_zeros();
-                bits &= bits - 1;
-                let t = self.costs.t_of_rank(r);
-                let c = if p == pa {
-                    if t == ta {
-                        continue; // the requesting leaf itself
-                    }
-                    from.to_tree(t)
-                } else {
-                    from.to_pop_rank(p, r)
-                };
+    ) -> (Vec<f64>, Vec<NodeId>) {
+        let mut costs = std::mem::take(&mut self.cand_cost);
+        let mut nodes = std::mem::take(&mut self.cand_node);
+        costs.clear();
+        nodes.clear();
+        if self.reference {
+            for n in self.holders(object) {
+                if n == leaf {
+                    continue;
+                }
+                let c = self.cfg.latency.path_cost(self.net, leaf, n);
                 if c < max_cost {
-                    costs_out.push(c);
-                    nodes_out.push(p * tn + t);
+                    costs.push(c);
+                    nodes.push(n);
                 }
             }
+        } else if let Some(dir) = &self.dir {
+            dir.candidates(
+                object,
+                &self.costs.from(leaf),
+                max_cost,
+                &mut costs,
+                &mut nodes,
+            );
         }
+        (costs, nodes)
     }
 
     /// Capacity-limited nearest-replica selection: probe candidates in
@@ -1281,49 +1146,7 @@ impl<'a> Simulator<'a> {
         idx: u64,
     ) -> Option<(f64, NodeId)> {
         let _select_span = self.obs.as_ref().and_then(|o| o.select_span(idx));
-        if self.reference {
-            // Legacy shape: gather tuples, stable sort, then walk in order
-            // — same `(cost, NodeId)` contract, same capacity probe
-            // sequence as the flat select-min below.
-            let mut cands = std::mem::take(&mut self.cand_pairs);
-            cands.clear();
-            cands.extend(
-                self.replica_dir[object as usize]
-                    .iter()
-                    .filter(|&&n| n != leaf)
-                    .map(|&n| (self.cfg.latency.path_cost(self.net, leaf, n), n))
-                    .filter(|&(c, _)| c < origin_cost),
-            );
-            cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let mut chosen = None;
-            for &(cost, node) in &cands {
-                if self.try_capacity(node, idx) {
-                    chosen = Some((cost, node));
-                    break;
-                }
-            }
-            self.cand_pairs = cands;
-            return chosen;
-        }
-        let mut costs = std::mem::take(&mut self.cand_cost);
-        let mut nodes = std::mem::take(&mut self.cand_node);
-        costs.clear();
-        nodes.clear();
-        if self.masks.is_some() {
-            self.extend_cands_from_masks(object, leaf, origin_cost, &mut costs, &mut nodes);
-        } else {
-            let from = self.costs.from(leaf);
-            for &n in &self.replica_dir[object as usize] {
-                if n == leaf {
-                    continue;
-                }
-                let c = from.to(n);
-                if c < origin_cost {
-                    costs.push(c);
-                    nodes.push(n);
-                }
-            }
-        }
+        let (mut costs, mut nodes) = self.gather_candidates(object, leaf, origin_cost);
         let mut chosen = None;
         while let Some(i) = min_candidate(&costs, &nodes) {
             let (cost, node) = (costs[i], nodes[i]);
@@ -1346,10 +1169,9 @@ impl<'a> Simulator<'a> {
     /// cost; with none, the request fails.
     ///
     /// Shares the fault-free ordering contract: candidates are considered
-    /// in ascending `(cost, NodeId)` order (scratch buffer + select-min,
-    /// or a stable sort in reference mode — identical probe sequences),
-    /// so under a zero-failure schedule every liveness check passes and
-    /// the selection reduces exactly to the fault-free paths.
+    /// in ascending `(cost, NodeId)` order (select-min over the candidate
+    /// scratch), so under a zero-failure schedule every liveness check
+    /// passes and the selection reduces exactly to the fault-free paths.
     /// `penalty` accumulates the wasted round-trip latency of replicas
     /// whose corruption was caught by self-certification (the copy is
     /// evicted and the scan continues).
@@ -1365,86 +1187,35 @@ impl<'a> Simulator<'a> {
         let _select_span = self.obs.as_ref().and_then(|o| o.select_span(idx));
         let origin_reachable = self.path_live(leaf, origin_root);
         let mut choice = None;
-        if self.reference {
-            let mut cands = std::mem::take(&mut self.cand_pairs);
-            cands.clear();
-            cands.extend(
-                self.replica_dir[object as usize]
-                    .iter()
-                    .filter(|&&n| n != leaf)
-                    .map(|&n| (self.cfg.latency.path_cost(self.net, leaf, n), n)),
-            );
-            cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            for &(cost, node) in &cands {
-                if origin_reachable && cost >= origin_cost {
-                    break; // origin is at least as close; prefer it
-                }
-                if !self.node_up(node) || !self.path_live(leaf, node) {
-                    continue;
-                }
-                if self.try_capacity(node, idx) {
-                    let corrupted = self.replica_corrupted(node, object);
-                    if corrupted && self.spec.self_certifying {
-                        self.metrics.corrupt_detected += 1;
-                        self.evict_replica(node, object);
-                        *penalty += cost + 1.0;
-                        continue; // scan on for a clean copy
-                    }
-                    choice = Some(NrChoice::Replica {
-                        cost,
-                        node,
-                        poisoned: corrupted,
-                    });
-                    break;
-                }
+        let (mut costs, mut nodes) = self.gather_candidates(object, leaf, f64::INFINITY);
+        while let Some(i) = min_candidate(&costs, &nodes) {
+            let (cost, node) = (costs[i], nodes[i]);
+            if origin_reachable && cost >= origin_cost {
+                break; // origin is at least as close; prefer it
             }
-            self.cand_pairs = cands;
-        } else {
-            let mut costs = std::mem::take(&mut self.cand_cost);
-            let mut nodes = std::mem::take(&mut self.cand_node);
-            costs.clear();
-            nodes.clear();
-            if self.masks.is_some() {
-                self.extend_cands_from_masks(object, leaf, f64::INFINITY, &mut costs, &mut nodes);
-            } else {
-                let from = self.costs.from(leaf);
-                for &n in &self.replica_dir[object as usize] {
-                    if n == leaf {
-                        continue;
-                    }
-                    costs.push(from.to(n));
-                    nodes.push(n);
-                }
+            costs.swap_remove(i);
+            nodes.swap_remove(i);
+            if !self.node_up(node) || !self.path_live(leaf, node) {
+                continue;
             }
-            while let Some(i) = min_candidate(&costs, &nodes) {
-                let (cost, node) = (costs[i], nodes[i]);
-                if origin_reachable && cost >= origin_cost {
-                    break; // origin is at least as close; prefer it
+            if self.try_capacity(node, idx) {
+                let corrupted = self.replica_corrupted(node, object);
+                if corrupted && self.spec.self_certifying {
+                    self.metrics.corrupt_detected += 1;
+                    self.evict_replica(node, object);
+                    *penalty += cost + 1.0;
+                    continue; // scan on for a clean copy
                 }
-                costs.swap_remove(i);
-                nodes.swap_remove(i);
-                if !self.node_up(node) || !self.path_live(leaf, node) {
-                    continue;
-                }
-                if self.try_capacity(node, idx) {
-                    let corrupted = self.replica_corrupted(node, object);
-                    if corrupted && self.spec.self_certifying {
-                        self.metrics.corrupt_detected += 1;
-                        self.evict_replica(node, object);
-                        *penalty += cost + 1.0;
-                        continue; // scan on for a clean copy
-                    }
-                    choice = Some(NrChoice::Replica {
-                        cost,
-                        node,
-                        poisoned: corrupted,
-                    });
-                    break;
-                }
+                choice = Some(NrChoice::Replica {
+                    cost,
+                    node,
+                    poisoned: corrupted,
+                });
+                break;
             }
-            self.cand_cost = costs;
-            self.cand_node = nodes;
         }
+        self.cand_cost = costs;
+        self.cand_node = nodes;
         choice.unwrap_or(if origin_reachable {
             NrChoice::Origin
         } else {
@@ -1493,7 +1264,6 @@ impl<'a> Simulator<'a> {
         if !self.equipped[node as usize] {
             return;
         }
-        let track = self.spec.routing == Routing::NearestReplica;
         let c = &mut self.caches[node as usize];
         let had = c.contains(object as u64);
         let evicted = c.insert_at(object as u64, idx);
@@ -1507,27 +1277,12 @@ impl<'a> Simulator<'a> {
                 self.ttl_queue.push_back((idx + ttl, node, object));
             }
         }
-        if track {
-            let inserted = !had && stored;
-            if let Some(masks) = &mut self.masks {
-                let (p, t) = (self.net.pop_of(node), self.net.tree_index(node));
-                let r = self.costs.rank_of(t);
-                if let Some(e) = evicted {
-                    masks.remove(e as u32, p, r);
-                }
-                if inserted {
-                    masks.insert(object, p, r);
-                }
-            } else {
-                if let Some(e) = evicted {
-                    let dir = &mut self.replica_dir[e as usize];
-                    if let Some(pos) = dir.iter().position(|&n| n == node) {
-                        dir.swap_remove(pos);
-                    }
-                }
-                if inserted {
-                    self.replica_dir[object as usize].push(node);
-                }
+        if let Some(dir) = &mut self.dir {
+            if let Some(e) = evicted {
+                dir.remove(e as u32, node, &self.costs);
+            }
+            if !had && stored {
+                dir.insert(object, node, &self.costs);
             }
         }
     }
@@ -1781,42 +1536,83 @@ mod tests {
     }
 
     #[test]
-    fn selection_is_independent_of_replica_dir_order() {
+    fn selection_is_independent_of_directory_order() {
         // The ordering contract: selection depends on the directory only
-        // as a *set*. In reference mode the directory really is an
-        // order-carrying Vec, so adversarially permuting every entry list
-        // mid-run must not change a single metric bit. (The flat mode's
-        // bitmask directory is canonical by construction and is pinned to
-        // reference mode by `tests/determinism.rs`.)
-        let net = two_pop_net();
+        // as a *set*. Above 128 nodes per PoP the directory keeps
+        // order-carrying lists, so adversarially permuting every list
+        // mid-run must not change a single metric bit. (The mask layout
+        // is canonical by construction.)
+        let core = PopGraph::new(
+            "pair",
+            vec!["A".into(), "B".into()],
+            vec![1_000, 1_000],
+            vec![(0, 1)],
+        );
+        let net = Network::new(core, AccessTree::new(2, 7));
         let origins = vec![1u16; 8];
         let sizes = vec![1u32; 8];
-        // Interleaved requests from every leaf so objects are cached at
-        // several equal-cost nodes and ties actually occur.
-        let reqs: Vec<Request> = (0..64u64)
-            .map(|i| req((i % 2) as u16, (i % 4) as u16, (i % 8) as u32))
+        // Interleaved requests from sibling and cousin leaves so objects
+        // are cached at several equal-cost nodes and ties actually occur.
+        let reqs: Vec<Request> = (0..256u64)
+            .map(|i| req((i % 2) as u16, (i * 37 % 128) as u16, (i % 8) as u32))
             .collect();
         let mid = reqs.len() / 2;
         let mut plain = sim_with(&net, DesignKind::IcnNr, &origins, &sizes);
-        plain.set_reference(true);
         plain.run(&reqs);
         let want = plain.metrics().clone();
         for flavor in 0..3u64 {
             let mut sim = sim_with(&net, DesignKind::IcnNr, &origins, &sizes);
-            sim.set_reference(true);
             sim.run(&reqs[..mid]);
-            for (o, dir) in sim.replica_dir.iter_mut().enumerate() {
+            let lists = sim.dir.as_mut().and_then(|d| d.lists_mut()).unwrap();
+            assert!(
+                lists.iter().any(|l| l.len() > 2),
+                "too few replicas to permute"
+            );
+            for (o, list) in lists.iter_mut().enumerate() {
                 match flavor {
-                    0 => dir.reverse(),
+                    0 => list.reverse(),
                     1 => {
-                        let n = dir.len().max(1);
-                        dir.rotate_left(o % n);
+                        let n = list.len().max(1);
+                        list.rotate_left(o % n);
                     }
-                    _ => dir.sort_unstable_by_key(|&n| u32::MAX - n),
+                    _ => list.sort_unstable_by_key(|&n| u32::MAX - n),
                 }
             }
             let got = sim.run(&reqs[mid..]).clone();
             assert_eq!(want, got, "shuffle flavor {flavor} changed the outcome");
+        }
+    }
+
+    proptest::proptest! {
+        /// Repeatedly extracting `min_candidate` with `swap_remove` — the
+        /// probe loop of both multi-candidate selections — visits the
+        /// candidates in exactly their stable `(cost, NodeId)` sort order.
+        /// Costs are finite, non-negative, integer-valued and heavily tied:
+        /// the simulator's domain. The sort keys on `total_cmp`, the scan
+        /// on `<`; the two disagree only on `-0.0` and NaN, and candidate
+        /// costs are never either.
+        #[test]
+        fn min_candidate_extraction_is_the_stable_sort_order(
+            cost_units in proptest::prop::collection::vec(0u32..6, 0..48),
+            stride in 1u32..1009,
+            offset in 0u32..1009,
+        ) {
+            // 1009 is prime, so `i * stride + offset` is distinct mod 1009
+            // for every i below it: node ids stay unique, as in a directory.
+            let mut nodes: Vec<NodeId> = (0..cost_units.len() as u32)
+                .map(|i| (i * stride + offset) % 1009)
+                .collect();
+            let mut costs: Vec<f64> = cost_units.iter().map(|&c| c as f64).collect();
+            let mut want: Vec<(f64, NodeId)> =
+                costs.iter().copied().zip(nodes.iter().copied()).collect();
+            want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let mut got = Vec::new();
+            while let Some(i) = min_candidate(&costs, &nodes) {
+                got.push((costs[i], nodes[i]));
+                costs.swap_remove(i);
+                nodes.swap_remove(i);
+            }
+            proptest::prop_assert_eq!(got, want);
         }
     }
 
@@ -1908,14 +1704,11 @@ mod tests {
     /// flushes both have to preserve.
     fn assert_directory_matches_caches(sim: &Simulator, objects: u32) {
         for o in 0..objects {
-            let dir = sim.replicas_of(o);
-            for n in 0..sim.net.node_count() {
-                assert_eq!(
-                    sim.caches[n as usize].contains(o as u64),
-                    dir.contains(&n),
-                    "object {o} at node {n}: directory out of sync"
-                );
-            }
+            assert_eq!(
+                sim.replicas_of(o),
+                sim.holders_of(o),
+                "object {o}: directory out of sync"
+            );
         }
     }
 
@@ -2004,8 +1797,8 @@ mod tests {
 
         #[test]
         fn reference_mode_is_bit_identical_under_ttl() {
-            // Expiry syncs whichever directory representation is live —
-            // bitmask (flat) or Vec (reference). Both must agree.
+            // Expiry must keep the directory in sync with the caches, which
+            // the reference mode reads directly. Both must agree.
             let net = two_pop_net();
             let origins = vec![1u16; 8];
             let sizes = vec![1u32; 8];

@@ -297,10 +297,10 @@ fn fault_label(m: &RunMetrics) -> &'static str {
 
 #[test]
 fn flat_mode_is_bit_identical_to_reference_mode() {
-    // The flat hot path (CostTable + bitmask directory + select-min) and
-    // the reference implementation (LatencyModel climbs + Vec directory +
-    // stable sort) must agree on every metric bit — fault-free, faulted,
-    // and capacity-limited, across the Figure-6 designs.
+    // The flat hot path (CostTable + replica directory + select-min) and
+    // the reference implementation (LatencyModel climbs + candidates read
+    // from the caches) must agree on every metric bit — fault-free,
+    // faulted, and capacity-limited, across the Figure-6 designs.
     let net = Network::new(pop::abilene(), AccessTree::new(2, 3));
     let trace = Trace::synthesize(
         Region::Us.config(0.005),
@@ -345,10 +345,69 @@ fn flat_mode_is_bit_identical_to_reference_mode() {
 }
 
 #[test]
+fn flat_mode_matches_reference_above_the_mask_limit() {
+    // Trees above `MAX_MASK_TREE` nodes per PoP keep the directory as
+    // per-object lists; nothing else exercises that layout. 255 routers
+    // per PoP, ICN-NR under the four selection regimes, and after each
+    // run the directory must list exactly what the caches hold.
+    let net = Network::new(pop::abilene(), AccessTree::new(2, 7));
+    assert!(net.tree.nodes() > icn_core::dir::MAX_MASK_TREE);
+    let trace = Trace::synthesize(
+        Region::Us.config(0.005),
+        &net.core.populations,
+        net.leaves_per_pop(),
+    );
+    let origins = assign_origins(
+        OriginPolicy::PopulationProportional,
+        trace.config.objects,
+        &net.core.populations,
+        42,
+    );
+    let base = || {
+        let mut cfg = ExperimentConfig::baseline(DesignKind::IcnNr);
+        cfg.f_fraction = 0.05;
+        cfg
+    };
+    let free = base();
+    let mut faulted = base();
+    faulted.fault = Some(FaultConfig::uniform(0xfa17, 0.02));
+    let mut capped = base();
+    capped.capacity = Some(icn_core::capacity::ServingCapacity {
+        per_node: 3,
+        window: 100,
+    });
+    let mut ttl = base();
+    ttl.policy = icn_cache::PolicyKind::Ttl { ttl: 400 };
+    for (label, cfg) in [
+        ("free", free),
+        ("faulted", faulted),
+        ("capped", capped),
+        ("ttl", ttl),
+    ] {
+        let mut flat = Simulator::new(&net, cfg.clone(), &origins, &trace.object_sizes);
+        flat.set_reference(false);
+        let a = flat.run(&trace.requests).clone();
+        let mut reference = Simulator::new(&net, cfg, &origins, &trace.object_sizes);
+        reference.set_reference(true);
+        let b = reference.run(&trace.requests).clone();
+        assert!(a.cache_hits > 0, "{label}: no replica ever served");
+        assert_eq!(a, b, "{label}: flat/reference RunMetrics");
+        let mut multi = false;
+        for o in 0..trace.config.objects {
+            let holders = flat.holders_of(o);
+            multi |= holders.len() > 1;
+            assert_eq!(flat.replicas_of(o), holders, "{label}: object {o}");
+            assert_eq!(reference.replicas_of(o), reference.holders_of(o));
+        }
+        assert!(multi, "{label}: no object was ever replicated");
+    }
+}
+
+#[test]
 fn switching_modes_mid_run_preserves_the_directory() {
-    // `set_reference` converts the replica directory between its bitmask
-    // and Vec representations; flipping in either direction halfway
-    // through a trace must land on the same metrics as never flipping.
+    // Both modes keep the replica directory in sync with the caches, so
+    // flipping in either direction halfway through a trace must land on
+    // the same metrics as never flipping.
     let net = Network::new(pop::abilene(), AccessTree::new(2, 3));
     let trace = Trace::synthesize(
         Region::Us.config(0.005),

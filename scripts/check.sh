@@ -63,8 +63,10 @@ cmp "$out1" "$out4"
 echo "JOBS=1 and JOBS=4 stdout byte-identical"
 
 echo "=== flat-vs-reference cross-check (fig6 with ICN_SIM_REFERENCE=1)"
-# The flat hot path (CostTable, bitmask replica directory, select-min)
-# must reproduce the reference implementation byte-for-byte.
+# The reference run costs paths with the latency model instead of the
+# CostTable and reads nearest-replica candidates from the caches instead
+# of the replica directory. Equal bytes mean the table matches the model
+# and the directory matches the caches it mirrors.
 SCALE="${SCALE:-0.02}" JOBS=1 ICN_SIM_REFERENCE=1 \
     cargo run --release -p icn-bench --bin fig6 >"$outref" 2>/dev/null
 cmp "$out1" "$outref"
