@@ -22,7 +22,7 @@ use crate::retry::mix;
 use crate::Result;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -156,38 +156,9 @@ pub struct ChaosProxy {
     inner: Arc<Inner>,
 }
 
-/// A running chaos proxy; shuts down on drop (same contract as
-/// [`http::HttpServer`]).
-pub struct ChaosServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ChaosServer {
-    /// The bound loopback address clients should talk to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Signals shutdown and joins the accept loop.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ChaosServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
+/// A running chaos proxy: the same accept loop as an HTTP server, so it
+/// stops on `shutdown` or drop exactly like [`http::HttpServer`].
+pub type ChaosServer = http::HttpServer;
 
 impl ChaosProxy {
     /// A chaos layer forwarding to `upstream` under `policy`.
@@ -220,36 +191,12 @@ impl ChaosProxy {
         }
     }
 
-    /// Binds a fresh loopback port and starts interposing. One thread per
-    /// connection, exactly like [`http::serve`] — these are loopback test
-    /// harness services.
+    /// Binds a fresh loopback port and starts interposing. Each connection
+    /// carries exactly one request, served on a thread of its own.
     pub fn serve(&self) -> Result<ChaosServer> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = shutdown.clone();
         let inner = self.inner.clone();
-        let accept_thread = std::thread::spawn(move || {
-            while !flag.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let inner = inner.clone();
-                        std::thread::spawn(move || handle_connection(&inner, stream));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        // Same 1 ms accept poll as `http::serve` — chaos
-                        // sits on every soak request's critical path.
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        Ok(ChaosServer {
-            addr,
-            shutdown,
-            accept_thread: Some(accept_thread),
+        http::accept_loop(TcpListener::bind("127.0.0.1:0")?, move |stream, _| {
+            handle_connection(&inner, stream)
         })
     }
 }
@@ -305,14 +252,7 @@ fn handle_connection(inner: &Inner, stream: TcpStream) {
     match action {
         ChaosAction::Truncate if resp.is_success() && resp.body.len() >= 2 => {
             bump(&inner.truncates);
-            let mut head = format!("HTTP/1.1 {} {}\r\n", resp.status, resp.reason);
-            for (n, v) in resp.headers.iter() {
-                if !n.eq_ignore_ascii_case("content-length") {
-                    head.push_str(&format!("{n}: {v}\r\n"));
-                }
-            }
-            head.push_str(&format!("Content-Length: {}\r\n\r\n", resp.body.len()));
-            let _ = writer.write_all(head.as_bytes());
+            let _ = writer.write_all(http::response_head(&resp).as_bytes());
             let _ = writer.write_all(&resp.body[..resp.body.len() / 2]);
             let _ = writer.flush();
             // Drop: the client sees EOF mid-body — a truncated transfer.
@@ -407,5 +347,19 @@ mod tests {
         );
         srv.shutdown();
         upstream.shutdown();
+    }
+
+    #[test]
+    fn dropping_an_idle_chaos_server_is_prompt_and_frees_the_port() {
+        let upstream: SocketAddr = "127.0.0.1:1".parse().unwrap();
+        let srv = ChaosProxy::new(upstream, ChaosPolicy::calm(1))
+            .serve()
+            .unwrap();
+        let addr = srv.addr();
+        let t0 = std::time::Instant::now();
+        drop(srv);
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        let err = http::http_get(addr, "/", &[]).unwrap_err();
+        assert!(matches!(err, crate::Error::Unreachable(_)), "{err:?}");
     }
 }

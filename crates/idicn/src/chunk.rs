@@ -44,6 +44,17 @@ impl ChunkedDigests {
         digest(content) == self.full
     }
 
+    /// Verifies that the piece digests describe `content`: one digest per
+    /// `piece_size` chunk, each matching. Hashes every byte once.
+    pub fn verify_pieces(&self, content: &[u8]) -> bool {
+        self.piece_size > 0
+            && self.pieces.len() == content.len().div_ceil(self.piece_size)
+            && content
+                .chunks(self.piece_size)
+                .zip(&self.pieces)
+                .all(|(piece, d)| digest(piece) == *d)
+    }
+
     /// Verifies one piece by index. The caller supplies the piece's bytes
     /// (e.g. from a ranged fetch); the final piece may be short.
     pub fn verify_piece(&self, index: usize, piece: &[u8]) -> bool {
@@ -105,6 +116,12 @@ mod tests {
         assert_eq!(empty.num_pieces(), 0);
         assert!(empty.verify_full(&[]));
         assert!(!empty.verify_piece(0, &[]));
+        assert!(empty.verify_pieces(&[]));
+        let zero = ChunkedDigests { piece_size: 0, ..d };
+        assert!(
+            !zero.verify_pieces(&content),
+            "zero piece size never verifies"
+        );
     }
 
     #[test]

@@ -77,13 +77,17 @@ impl Sha256 {
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        // After the 0x80 byte, total_len changed; capture buf_len now.
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, 64-bit big-endian length. `buf_len < 64`
+        // always holds; with no room left for the length, the padding
+        // spills into one more block.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0; 64];
         }
-        // Write the length directly into the buffer and compress.
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);

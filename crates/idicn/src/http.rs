@@ -8,13 +8,16 @@
 //! content authenticity comes from the idICN signatures, not the channel,
 //! which is precisely the paper's point about content-oriented security.
 //!
-//! Per the networking guides, these are few-connection loopback services:
-//! blocking I/O plus a thread per connection is the simplest robust design
-//! (async buys nothing here).
+//! These are few-connection loopback services, so blocking I/O is the
+//! simplest robust design: one thread blocks in `accept` and hands each
+//! connection a thread of its own; stopping sets a flag and wakes that
+//! `accept` with one connection to the server's own port. Header lines are
+//! read with one bounded scan each, and a message goes out as two writes:
+//! the formatted head, then the body.
 
 use crate::{Error, Result};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -203,36 +206,27 @@ fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
+/// Reads one header line, charging every byte (line ending included) to
+/// the section's `budget`; `Ok(None)` on a clean EOF before the line.
 fn read_line_limited<R: BufRead>(r: &mut R, budget: &mut usize) -> Result<Option<String>> {
     let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Ok(None); // clean EOF
-                }
-                return Err(Error::Protocol("unexpected EOF mid-line".into()));
-            }
-            Ok(_) => {
-                if *budget == 0 {
-                    return Err(Error::Protocol("header section too large".into()));
-                }
-                *budget -= 1;
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    return Ok(Some(
-                        String::from_utf8(line)
-                            .map_err(|_| Error::Protocol("non-UTF8 header line".into()))?,
-                    ));
-                }
-                line.push(byte[0]);
-            }
-            Err(e) => return Err(e.into()),
+    *budget -= Read::take(&mut *r, *budget as u64).read_until(b'\n', &mut line)?;
+    if line.last() != Some(&b'\n') {
+        if *budget == 0 && !r.fill_buf()?.is_empty() {
+            return Err(Error::Protocol("header section too large".into()));
         }
+        if line.is_empty() {
+            return Ok(None); // clean EOF
+        }
+        return Err(Error::Protocol("unexpected EOF mid-line".into()));
     }
+    line.pop();
+    if line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|_| Error::Protocol("non-UTF8 header line".into()))
 }
 
 fn read_headers<R: BufRead>(r: &mut R, budget: &mut usize) -> Result<Headers> {
@@ -300,18 +294,47 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<HttpRequest>> {
     }))
 }
 
-/// Writes a request, setting `Content-Length`.
-pub fn write_request<W: Write>(w: &mut W, req: &HttpRequest) -> Result<()> {
-    write!(w, "{} {} HTTP/1.1\r\n", req.method, req.target)?;
-    for (n, v) in req.headers.iter() {
+/// Formats a message head (start line, headers, `Content-Length`, blank
+/// line) into one buffer sized for it, so the head leaves in one `write`.
+fn message_head(start: std::fmt::Arguments<'_>, headers: &Headers, body_len: usize) -> String {
+    use std::fmt::Write as _;
+    let fields = headers.iter().map(|(n, v)| n.len() + v.len() + 4);
+    let mut head = String::with_capacity(64 + fields.sum::<usize>());
+    let _ = head.write_fmt(start);
+    for (n, v) in headers.iter() {
         if !n.eq_ignore_ascii_case("content-length") {
-            write!(w, "{n}: {v}\r\n")?;
+            let _ = write!(head, "{n}: {v}\r\n");
         }
     }
-    write!(w, "Content-Length: {}\r\n\r\n", req.body.len())?;
-    w.write_all(&req.body)?;
+    let _ = write!(head, "Content-Length: {body_len}\r\n\r\n");
+    head
+}
+
+/// The serialized head of `resp`, exactly as [`write_response`] sends it.
+pub(crate) fn response_head(resp: &HttpResponse) -> String {
+    message_head(
+        format_args!("HTTP/1.1 {} {}\r\n", resp.status, resp.reason),
+        &resp.headers,
+        resp.body.len(),
+    )
+}
+
+/// Writes a formatted head, then the body: two `write`s per message.
+fn write_message<W: Write>(w: &mut W, head: &str, body: &[u8]) -> Result<()> {
+    w.write_all(head.as_bytes())?;
+    w.write_all(body)?;
     w.flush()?;
     Ok(())
+}
+
+/// Writes a request, setting `Content-Length`.
+pub fn write_request<W: Write>(w: &mut W, req: &HttpRequest) -> Result<()> {
+    let head = message_head(
+        format_args!("{} {} HTTP/1.1\r\n", req.method, req.target),
+        &req.headers,
+        req.body.len(),
+    );
+    write_message(w, &head, &req.body)
 }
 
 /// Reads one response; `Ok(None)` on clean EOF.
@@ -343,16 +366,7 @@ pub fn read_response<R: BufRead>(r: &mut R) -> Result<Option<HttpResponse>> {
 
 /// Writes a response, setting `Content-Length`.
 pub fn write_response<W: Write>(w: &mut W, resp: &HttpResponse) -> Result<()> {
-    write!(w, "HTTP/1.1 {} {}\r\n", resp.status, resp.reason)?;
-    for (n, v) in resp.headers.iter() {
-        if !n.eq_ignore_ascii_case("content-length") {
-            write!(w, "{n}: {v}\r\n")?;
-        }
-    }
-    write!(w, "Content-Length: {}\r\n\r\n", resp.body.len())?;
-    w.write_all(&resp.body)?;
-    w.flush()?;
-    Ok(())
+    write_message(w, &response_head(resp), &resp.body)
 }
 
 /// Parses a `Range: bytes=...` header against a body of `total` bytes.
@@ -393,7 +407,8 @@ pub fn content_range(start: usize, end: usize, total: usize) -> String {
 /// Handler signature for [`serve`].
 pub type Handler = Arc<dyn Fn(&HttpRequest) -> HttpResponse + Send + Sync>;
 
-/// A running HTTP server; dropped or shut down explicitly.
+/// A running accept loop (an HTTP server, or a [`crate::chaos`] proxy);
+/// stops on [`shutdown`](Self::shutdown) or drop.
 pub struct HttpServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -411,9 +426,19 @@ impl HttpServer {
         self.stop();
     }
 
+    /// Sets the flag, then wakes the loop blocked in `accept` with one
+    /// connection of its own (to loopback if bound to an unspecified IP).
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect_timeout(&wake, CONNECT_TIMEOUT);
             let _ = t.join();
         }
     }
@@ -435,24 +460,36 @@ pub fn serve(handler: Handler) -> Result<HttpServer> {
 
 /// Like [`serve`] but on a caller-provided listener.
 pub fn serve_on(listener: TcpListener, handler: Handler) -> Result<HttpServer> {
+    accept_loop(listener, move |stream, shutdown| {
+        handle_connection(stream, &handler, shutdown)
+    })
+}
+
+/// Blocks in `accept` on a background thread and runs `on_conn` on a
+/// thread of its own for each connection, until the returned server stops.
+pub(crate) fn accept_loop<F>(listener: TcpListener, on_conn: F) -> Result<HttpServer>
+where
+    F: Fn(TcpStream, &AtomicBool) + Send + Sync + 'static,
+{
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let flag = shutdown.clone();
+    let on_conn = Arc::new(on_conn);
     let accept_thread = std::thread::spawn(move || {
-        while !flag.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let h = handler.clone();
-                    let f = flag.clone();
-                    std::thread::spawn(move || handle_connection(stream, h, f));
+        for conn in listener.incoming() {
+            if flag.load(Ordering::SeqCst) {
+                break; // the wake-up connection from `HttpServer::stop`
+            }
+            match conn {
+                Ok(stream) => {
+                    let (on_conn, flag) = (on_conn.clone(), flag.clone());
+                    std::thread::spawn(move || on_conn(stream, &flag));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // 1 ms, not coarser: every fresh connection pays up to
-                    // one poll interval of accept latency, and soak tests
-                    // open four connections per end-to-end request.
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+                // A client that gave up before being accepted; the next
+                // `accept` is unaffected.
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => {}
+                // Anything else (descriptor exhaustion, ...) would fail
+                // again at once: end the loop rather than spin on it.
                 Err(_) => break,
             }
         }
@@ -464,7 +501,7 @@ pub fn serve_on(listener: TcpListener, handler: Handler) -> Result<HttpServer> {
     })
 }
 
-fn handle_connection(stream: TcpStream, handler: Handler, shutdown: Arc<AtomicBool>) {
+fn handle_connection(stream: TcpStream, handler: &Handler, shutdown: &AtomicBool) {
     let _ = stream.set_nodelay(true);
     // Bounded read timeout so keep-alive connections notice shutdown.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
@@ -603,6 +640,139 @@ mod tests {
         let bad = "HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc";
         let err = read_response(&mut Cursor::new(bad.as_bytes().to_vec())).unwrap_err();
         assert!(matches!(err, Error::Io(_)), "{err:?}");
+    }
+
+    /// The frame of [`request_with_header_section`], without padding.
+    const PAD_FRAME: &str = "GET / HTTP/1.1\r\nX-Pad: \r\n\r\n";
+
+    /// A request whose header section (request line through the blank
+    /// line) is exactly `len` bytes, padded with one long header value.
+    fn request_with_header_section(len: usize) -> Vec<u8> {
+        let pad = "p".repeat(len - PAD_FRAME.len());
+        format!("GET / HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n").into_bytes()
+    }
+
+    fn protocol_error(bytes: Vec<u8>) -> bool {
+        matches!(
+            read_request(&mut Cursor::new(bytes)),
+            Err(Error::Protocol(_))
+        )
+    }
+
+    #[test]
+    fn header_section_budget_is_exact() {
+        let at = request_with_header_section(MAX_HEADER_BYTES);
+        let req = read_request(&mut Cursor::new(at)).unwrap().unwrap();
+        assert_eq!(
+            req.headers.get("x-pad").map(str::len),
+            Some(MAX_HEADER_BYTES - PAD_FRAME.len())
+        );
+        assert!(protocol_error(request_with_header_section(
+            MAX_HEADER_BYTES + 1
+        )));
+        // Responses share the budget: a status line one byte longer than
+        // the request line tips the same section over it.
+        let mut over = b"HTTP/1.1 200 OK\r\n".to_vec();
+        over.extend(request_with_header_section(MAX_HEADER_BYTES).split_off(16));
+        assert!(matches!(
+            read_response(&mut Cursor::new(over)),
+            Err(Error::Protocol(_))
+        ));
+    }
+
+    #[test]
+    fn oversized_header_sections_are_rejected() {
+        // One line longer than the whole budget.
+        let long = format!(
+            "GET / HTTP/1.1\r\nX-Long: {}\r\n\r\n",
+            "a".repeat(MAX_HEADER_BYTES)
+        );
+        assert!(protocol_error(long.into_bytes()));
+        // Many short lines that only add up to more than the budget.
+        let mut many = "GET / HTTP/1.1\r\n".to_string();
+        while many.len() <= MAX_HEADER_BYTES {
+            many.push_str("X-Short: 0123456789\r\n");
+        }
+        many.push_str("\r\n");
+        assert!(protocol_error(many.into_bytes()));
+    }
+
+    #[test]
+    fn truncated_and_non_utf8_header_lines_are_rejected() {
+        assert!(protocol_error(b"GET / HTTP/1.1\r\nX-Cut: ha".to_vec()));
+        assert!(protocol_error(b"GET / HT".to_vec()));
+        assert!(protocol_error(
+            b"GET / HTTP/1.1\r\nX-Bin: \xff\xfe\r\n\r\n".to_vec()
+        ));
+        assert!(protocol_error(b"GET /\xc3 HTTP/1.1\r\n\r\n".to_vec()));
+    }
+
+    /// A writer that counts the `write` calls it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_message_is_one_head_write_then_one_body_write() {
+        let mut resp = HttpResponse::ok(b"body bytes".to_vec());
+        for i in 0..8 {
+            resp.headers
+                .add(&format!("X-Field-{i}"), "v".repeat(100 * i));
+        }
+        resp.headers.set("Content-Length", "999"); // replaced by the real length
+        let mut w = CountingWriter::default();
+        write_response(&mut w, &resp).unwrap();
+        assert_eq!(w.writes, 2);
+        assert_eq!(
+            w.bytes,
+            [response_head(&resp).as_bytes(), &resp.body].concat()
+        );
+        let parsed = read_response(&mut Cursor::new(w.bytes)).unwrap().unwrap();
+        assert_eq!(parsed.body, resp.body);
+        assert_eq!(parsed.headers.get("x-field-7").map(str::len), Some(700));
+
+        let mut req = HttpRequest::post("/publish", b"payload".to_vec());
+        req.headers.set("Host", "example");
+        let mut w = CountingWriter::default();
+        write_request(&mut w, &req).unwrap();
+        assert_eq!(w.writes, 2);
+        let parsed = read_request(&mut Cursor::new(w.bytes)).unwrap().unwrap();
+        assert_eq!(parsed.body, b"payload");
+
+        let mut w = CountingWriter::default();
+        write_request(&mut w, &HttpRequest::get("/")).unwrap();
+        assert_eq!(w.writes, 1, "an empty body costs no write");
+    }
+
+    #[test]
+    fn dropping_an_idle_server_is_prompt_and_frees_the_port() {
+        let echo: Handler = Arc::new(|_: &HttpRequest| HttpResponse::ok(Vec::new()));
+        let loopback = serve(echo.clone()).unwrap();
+        let wildcard = serve_on(TcpListener::bind("0.0.0.0:0").unwrap(), echo).unwrap();
+        assert!(wildcard.addr().ip().is_unspecified());
+        for server in [loopback, wildcard] {
+            let port = server.addr().port();
+            let t0 = std::time::Instant::now();
+            drop(server);
+            assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+            let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, port));
+            let err = http_get(addr, "/", &[]).unwrap_err();
+            assert!(matches!(err, Error::Unreachable(_)), "{err:?}");
+        }
     }
 
     #[test]

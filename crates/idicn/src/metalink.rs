@@ -74,8 +74,7 @@ impl Metadata {
         if !self.digests.verify_full(content) {
             return Err(Error::Verification("content digest mismatch".into()));
         }
-        let recomputed = ChunkedDigests::compute(content, self.digests.piece_size);
-        if recomputed.pieces != self.digests.pieces {
+        if !self.digests.verify_pieces(content) {
             return Err(Error::Verification("piece digests inconsistent".into()));
         }
         Ok(())
@@ -226,6 +225,28 @@ mod tests {
         let (mut meta, _) = signed_metadata(&content);
         meta.name.label = "othername".into();
         assert!(matches!(meta.verify(&content), Err(Error::Verification(_))));
+    }
+
+    #[test]
+    fn verify_rejects_inconsistent_piece_digests() {
+        // The signature covers only the full digest, so the piece list
+        // must be checked against the content on its own.
+        let content: Vec<u8> = (0..200u8).collect(); // 4 pieces of 64
+        let (meta, _) = signed_metadata(&content);
+        meta.verify(&content).unwrap();
+
+        let mut wrong = meta.clone();
+        wrong.digests.pieces[2][0] ^= 1;
+        let mut missing = meta.clone();
+        missing.digests.pieces.pop();
+        let mut extra = meta.clone();
+        extra.digests.pieces.push(digest(b"extra"));
+        for (what, m) in [("wrong", wrong), ("missing", missing), ("extra", extra)] {
+            assert!(
+                matches!(m.verify(&content), Err(Error::Verification(_))),
+                "{what} piece digest accepted"
+            );
+        }
     }
 
     #[test]

@@ -13,6 +13,13 @@ echo "=== cargo test"
 # stalls, truncation, and content corruption on the wire.
 cargo test -q --workspace
 
+echo "=== idICN overlay smoke (examples run, not just built)"
+# These start, kill and restart servers, so they exercise the accept
+# loop's shutdown path end to end; a non-zero exit fails the check.
+for example in idicn_demo mobility_handoff adhoc_sharing; do
+    cargo run -q --release --example "$example" >/dev/null
+done
+
 echo "=== cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
